@@ -24,19 +24,12 @@
 //! triggers the frame fetch) and hot (Reorganization Buffer prewarmed —
 //! the steady-state case).
 //!
-//! **Resolved model artifact (the max column):** the synchronous memory
-//! path books a frame's whole DRAM traffic in one simulation step, and
-//! the occupancy-tracked bus serves bookings strictly in booking order —
-//! so on the *cold* path one unlucky concurrent OLTP op absorbed the
-//! entire fetch shadow (a millisecond-scale max latency) while every
-//! other op was untouched. The event-driven completion queue fixes both
-//! halves: the engine fetches descriptor-window frames incrementally
-//! (line-granular bookings instead of one monolithic reservation), and
-//! CPU point traffic is admitted with demand priority over the engine's
-//! paced prefetch stream, mirroring the ZCU102's PS–PL interconnect QoS.
-//! The sweep below runs event-driven; a dedicated comparison table pins
-//! the fix, asserting the cold-path max drops at least 2x against the
-//! synchronous path while the percentiles stay within noise.
+//! **The max column on the cold path:** the engine books a frame's DRAM
+//! traffic line by line as the scans demand it rather than as one
+//! monolithic reservation, and CPU point traffic is admitted with demand
+//! priority over the engine's paced prefetch stream, mirroring the
+//! ZCU102's PS–PL interconnect QoS. So no single OLTP op absorbs a whole
+//! frame fetch: the cold-path max stays on the scale of the percentiles.
 
 use relmem_core::system::{RowEffect, ScanSource, SystemConfig};
 use relmem_core::workload::{QueryStream, Workload, WorkloadOp};
@@ -69,11 +62,10 @@ struct HtapPoint {
 const SCAN_COLUMNS: [usize; 1] = [0];
 const OLTP_COLUMNS: [usize; 2] = [1, 2];
 
-fn run_htap(rows: u64, oltp_ops: u64, cores: usize, path: OlapPath, event_driven: bool) -> HtapPoint {
+fn run_htap(rows: u64, oltp_ops: u64, cores: usize, path: OlapPath) -> HtapPoint {
     let mut sys = System::with_config(SystemConfig {
         cores,
         mem_bytes: ((rows * 64) as usize + (64 << 20)).next_power_of_two(),
-        event_driven,
         ..SystemConfig::default()
     });
     let schema = Schema::benchmark(4, 4, 64);
@@ -161,7 +153,7 @@ pub fn fig_htap(quick: bool) -> Experiment {
     let oltp_ops: u64 = if quick { 500 } else { 2_000 };
 
     // Interference-free OLTP baseline: one stream, one core, no scans.
-    let baseline = run_htap(rows, oltp_ops, 1, OlapPath::Direct, true);
+    let baseline = run_htap(rows, oltp_ops, 1, OlapPath::Direct);
 
     const PATHS: [(OlapPath, &str); 3] = [
         (OlapPath::Direct, "direct"),
@@ -201,50 +193,13 @@ pub fn fig_htap(quick: bool) -> Experiment {
     for cores in [2usize, 4, 8] {
         let label = format!("{cores} cores ({} scan streams)", cores - 1);
         for (i, (path, _)) in PATHS.iter().enumerate() {
-            let point = run_htap(rows, oltp_ops, cores, *path, true);
+            let point = run_htap(rows, oltp_ops, cores, *path);
             olap[i].push(label.clone(), point.olap_mfields_s);
             p50[i].push(label.clone(), point.p50_us);
             p99[i].push(label.clone(), point.p99_us);
             max[i].push(label.clone(), point.max_us);
             deg[i].push(label.clone(), point.p99_us / baseline.p99_us);
         }
-    }
-
-    // Sync-vs-event comparison on the worst case the old synchronous path
-    // had — 4 cores, cold RME scans. The synchronous path books each frame
-    // as one monolithic reservation, so a single OLTP op absorbs the whole
-    // fetch shadow; the event-driven path fetches incrementally and admits
-    // point traffic with demand priority. The assertions pin the fix at
-    // every sweep size, so the CI smoke run re-proves it.
-    let sync_cold = run_htap(rows, oltp_ops, 4, OlapPath::RmeCold, false);
-    let event_cold = run_htap(rows, oltp_ops, 4, OlapPath::RmeCold, true);
-    assert!(
-        sync_cold.max_us >= 2.0 * event_cold.max_us,
-        "incremental fetching must cut the cold-path OLTP max at least 2x: \
-         sync {:.3} us, event {:.3} us",
-        sync_cold.max_us,
-        event_cold.max_us,
-    );
-    for (name, sync, event) in [
-        ("p50", sync_cold.p50_us, event_cold.p50_us),
-        ("p99", sync_cold.p99_us, event_cold.p99_us),
-    ] {
-        assert!(
-            (sync - event).abs() <= 0.25 * sync.max(event),
-            "cold-path OLTP {name} must stay within noise: sync {sync:.3} us, event {event:.3} us",
-        );
-    }
-    let mut cold_fix: Vec<Series> = ["p50 us", "p99 us", "max us"]
-        .iter()
-        .map(|n| Series::new((*n).to_string()))
-        .collect();
-    for (label, point) in [
-        ("synchronous whole-frame", &sync_cold),
-        ("event-driven incremental", &event_cold),
-    ] {
-        cold_fix[0].push(label.to_string(), point.p50_us);
-        cold_fix[1].push(label.to_string(), point.p99_us);
-        cold_fix[2].push(label.to_string(), point.max_us);
     }
 
     let tables = vec![
@@ -262,13 +217,6 @@ pub fn fig_htap(quick: bool) -> Experiment {
             "HTAP: OLTP p99 degradation vs. interference-free baseline",
             "Streams",
             &deg,
-        ),
-        series_table(
-            "HTAP: cold-path OLTP latency, 4 cores — synchronous whole-frame \
-             fetch vs. event-driven incremental fetch (the resolved max-latency \
-             artifact; see module docs)",
-            "Memory path",
-            &cold_fix,
         ),
     ];
     Experiment {

@@ -36,10 +36,10 @@
 //!    write** ([`ReqKind::Write`](relmem_dram::ReqKind::Write)) forcing
 //!    the version header to memory. Commit durability is deliberately
 //!    *synchronous* — a commit is not observable until its write is
-//!    ordered — so these writes bypass the event-driven write buffer and
-//!    always exercise the cycle-accurate model's tWR/tWTR constraints.
-//!    (Dirty-eviction writebacks are the other CPU-side write source,
-//!    emitted asynchronously on the event-driven cycle-accurate path.)
+//!    ordered — so these writes bypass the cycle-accurate model's write
+//!    buffer and always exercise its tWR/tWTR constraints. (Dirty-eviction
+//!    writebacks are the other CPU-side write source, emitted
+//!    asynchronously on the cycle-accurate model only.)
 //!
 //! # Conflicts
 //!
@@ -577,10 +577,10 @@ impl System {
     /// write for the stamp itself plus an explicit, *synchronous* DRAM
     /// write request — durability means the commit is not observable
     /// before its write is ordered, so this never goes through the
-    /// event-driven write buffer and the cycle-accurate model's tWR/tWTR
-    /// constraints always bite on commits. (Dirty-eviction writebacks are
-    /// the asynchronous counterpart, emitted only on the event-driven
-    /// cycle-accurate path.)
+    /// cycle-accurate model's write buffer and its tWR/tWTR constraints
+    /// always bite on commits. (Dirty-eviction writebacks are the
+    /// asynchronous counterpart, emitted only on the cycle-accurate
+    /// model.)
     fn commit_stamp(&mut self, core: usize, st: &mut StreamState<'_, '_>, addr: u64) {
         let front = &mut self.cores[core];
         let mut backend = DramBackend {

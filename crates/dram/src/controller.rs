@@ -83,8 +83,7 @@ pub struct DramStats {
     /// Cross-request FR-FCFS reorder events (cycle-accurate model only):
     /// a read scheduled past at least one older buffered write, or a
     /// buffered write promoted ahead of an older one because it hits an
-    /// open row. Always zero under the occupancy model and on the
-    /// synchronous path, where completions are consumed in arrival order.
+    /// open row. Always zero under the occupancy model.
     pub fr_fcfs_reorders: u64,
 }
 
@@ -181,13 +180,14 @@ impl CompletionQueue {
 
 /// Tail state of the most recently serviced chunk, kept so a request that
 /// *continues* it — next sequential address, same open DRAM row, same
-/// requestor and admission class — can be booked arithmetically without
-/// re-deriving what is already known (see [`DramController::access`]).
+/// requestor (and so the same admission class) — can be booked
+/// arithmetically without re-deriving what is already known (see
+/// [`DramController::access`]).
 ///
 /// The streak is replaced on every access, so any intervening request —
-/// one that conflicts on the bank (opening a different row), one from a
-/// different requestor, or one admitted under the other priority class
-/// (the PS–PL QoS preemption point) — automatically breaks it: the next
+/// one that conflicts on the bank (opening a different row) or one from a
+/// different requestor, which may sit in the other priority class (the
+/// PS–PL QoS preemption point) — automatically breaks it: the next
 /// request fails the continuation test and takes the full decode path.
 /// The occupancy model has no refresh events (the cycle-accurate model
 /// owns those); the row boundary is the hard stop here, and a streak
@@ -202,10 +202,9 @@ struct Streak {
     row_end: u64,
     /// Bank owning that row.
     bank: usize,
-    /// Requestor of the tail access; attribution must match to coalesce.
+    /// Requestor of the tail access; attribution and admission class must
+    /// match to coalesce.
     requestor: Requestor,
-    /// Whether the tail access was admitted with demand priority.
-    demand: bool,
 }
 
 impl Streak {
@@ -217,7 +216,6 @@ impl Streak {
             row_end: 0,
             bank: 0,
             requestor: Requestor::Core(0),
-            demand: false,
         }
     }
 }
@@ -242,10 +240,6 @@ pub struct DramController {
     /// implementation behaviour, not simulated hardware behaviour, and the
     /// coalesced/uncoalesced differential asserts `DramStats` equality.
     coalesced_chunks: u64,
-    /// Event-driven mode: CPU (core) requests are admitted with demand
-    /// priority instead of appending behind every future reservation. See
-    /// [`set_event_driven`](Self::set_event_driven).
-    event_mode: bool,
     /// `log2(bus_bytes)` when the bus width is a power of two (always, in
     /// practice): turns the per-access beat count into a shift.
     bus_shift: Option<u32>,
@@ -266,7 +260,6 @@ impl DramController {
             streak: Streak::broken(),
             coalesce: true,
             coalesced_chunks: 0,
-            event_mode: false,
             bus_shift: cfg
                 .bus_bytes
                 .is_power_of_two()
@@ -299,9 +292,9 @@ impl DramController {
         &self.stats
     }
 
-    /// Resets timing state and statistics (open rows, resource occupancy).
-    /// The event-driven mode flag survives, like a hardware configuration
-    /// bit.
+    /// Resets timing state and statistics (open rows, resource occupancy,
+    /// the completion queue and its id allocation). The coalescing switch
+    /// survives.
     pub fn reset(&mut self) {
         self.open_rows.iter_mut().for_each(|r| *r = None);
         self.banks.iter_mut().for_each(PriorityResource::reset);
@@ -329,32 +322,11 @@ impl DramController {
         self.coalesced_chunks
     }
 
-    /// Enables or disables event-driven admission. In event-driven mode,
-    /// CPU ([`Requestor::Core`]) requests are admitted with demand priority
-    /// — they do not queue behind the RME's paced future reservations, the
-    /// way the PS–PL interconnect's QoS arbitration serves a CPU demand
-    /// read ahead of the PL requestor's prefetch stream. Engine
-    /// ([`Requestor::Rme`]) traffic keeps append semantics either way, so
-    /// its descriptor pacing is unchanged, and CPU requests stay FIFO among
-    /// themselves, so any run whose DRAM traffic comes from a single
-    /// requestor class is bit-identical in both modes (the differential
-    /// equivalence suite pins this). Counters never depend on the mode.
-    pub fn set_event_driven(&mut self, on: bool) {
-        self.event_mode = on;
-    }
-
-    /// Whether event-driven admission is active.
-    pub fn event_driven(&self) -> bool {
-        self.event_mode
-    }
-
     /// Issues a request asynchronously. The occupancy model has no request
     /// queue to defer into, so the request is scheduled eagerly (identical
     /// timing to [`access`](Self::access)) and only the *retrieval* of its
     /// completion is deferred until [`drain_completions`](Self::drain_completions)
-    /// — the issue path is a timing-neutral pass-through here, which is
-    /// exactly what makes the event-driven and synchronous paths
-    /// counter-identical under this model.
+    /// — the issue path is a timing-neutral pass-through here.
     pub fn issue(&mut self, req: MemRequest) -> RequestId {
         let id = self.queue.next_id();
         if req.kind == ReqKind::Write {
@@ -405,21 +377,26 @@ impl DramController {
     #[inline(always)]
     pub fn access(&mut self, req: MemRequest) -> Completion {
         let bytes = req.bytes.max(1);
-        let demand = self.event_mode && matches!(req.requestor, Requestor::Core(_));
+        // CPU (core) requests are admitted with demand priority — they do
+        // not queue behind the RME's paced future reservations, the way the
+        // PS–PL interconnect's QoS arbitration serves a CPU demand read
+        // ahead of the PL requestor's prefetch stream. Engine traffic keeps
+        // append semantics, so its descriptor pacing is unchanged, and CPU
+        // requests stay FIFO among themselves.
+        let demand = matches!(req.requestor, Requestor::Core(_));
         // Streak fast path: a read that continues the previous chunk —
         // next sequential address, inside the same (still open) DRAM row,
-        // same requestor, same admission class — books exactly what the
-        // full path's row-hit branch would book, without re-splitting and
-        // re-decoding the address. Anything else (a bank conflict that
-        // opened a different row, a class switch at the PS–PL QoS
-        // preemption point, a row-boundary crossing) falls through to the
-        // full path, which replaces the streak with its own tail.
+        // same requestor — books exactly what the full path's row-hit
+        // branch would book, without re-splitting and re-decoding the
+        // address. Anything else (a bank conflict that opened a different
+        // row, a requestor switch at the PS–PL QoS preemption point, a
+        // row-boundary crossing) falls through to the full path, which
+        // replaces the streak with its own tail.
         if self.coalesce
             && req.kind == ReqKind::Read
             && req.addr == self.streak.next_addr
             && req.addr + bytes as u64 <= self.streak.row_end
             && req.requestor == self.streak.requestor
-            && demand == self.streak.demand
         {
             return self.access_coalesced(req, bytes, demand);
         }
@@ -542,7 +519,6 @@ impl DramController {
                 row_end: addr - coord.column as u64 + self.cfg.row_bytes as u64,
                 bank: coord.bank,
                 requestor: req.requestor,
-                demand,
             };
         }
         self.streak = tail;
@@ -797,7 +773,7 @@ mod tests {
         assert_eq!(evt.outstanding(), 0);
 
         // Ids are monotone in issue order and each pairs with the same
-        // completion the synchronous path produced.
+        // completion `access` produced.
         assert_eq!(ids, (0..reqs.len() as u64).map(RequestId).collect::<Vec<_>>());
         for (id, completion) in &drained {
             assert_eq!(*completion, expected[id.0 as usize]);
@@ -839,12 +815,10 @@ mod tests {
     /// one forced down the full decode path, asserting bit-identical
     /// completions, statistics, and bus occupancy. Returns the number of
     /// chunks the coalescing side booked through the streak fast path.
-    fn assert_coalescing_identical(reqs: &[MemRequest], event_mode: bool) -> u64 {
+    fn assert_coalescing_identical(reqs: &[MemRequest]) -> u64 {
         let mut fast = ctl();
         let mut slow = ctl();
         slow.set_coalescing(false);
-        fast.set_event_driven(event_mode);
-        slow.set_event_driven(event_mode);
         for (i, &req) in reqs.iter().enumerate() {
             let f = fast.access(req);
             let s = slow.access(req);
@@ -859,14 +833,14 @@ mod tests {
 
     /// A sequential line stream (the scan fill pattern): every in-row
     /// continuation is coalesced, and totals and finish times match the
-    /// uncoalesced path bit for bit, in both admission modes.
+    /// uncoalesced path bit for bit, for either requestor class.
     #[test]
     fn sequential_streak_coalesces_identically() {
-        let reqs: Vec<MemRequest> = (0..96u64)
-            .map(|i| MemRequest::new(i * 64, 64, ns(i * 3)))
-            .collect();
-        for event_mode in [false, true] {
-            let coalesced = assert_coalescing_identical(&reqs, event_mode);
+        for requestor in [Requestor::Core(0), Requestor::Rme] {
+            let reqs: Vec<MemRequest> = (0..96u64)
+                .map(|i| MemRequest::new(i * 64, 64, ns(i * 3)).with_requestor(requestor))
+                .collect();
+            let coalesced = assert_coalescing_identical(&reqs);
             // 3 rows of 32 lines: each row's first line decodes in full
             // (row miss), the remaining 31 ride the streak.
             assert_eq!(coalesced, 93);
@@ -884,7 +858,7 @@ mod tests {
             .map(|i| MemRequest::new(i * 64, 64, ns(i)))
             .collect();
         reqs.push(MemRequest::new(row - 8, 16, ns(row / 64)));
-        let coalesced = assert_coalescing_identical(&reqs, false);
+        let coalesced = assert_coalescing_identical(&reqs);
         assert_eq!(coalesced, row / 64 - 1, "the straddler must not coalesce");
 
         let mut c = ctl();
@@ -916,7 +890,7 @@ mod tests {
             MemRequest::new(128, 64, ns(3)),      // would-be continuation
             MemRequest::new(192, 64, ns(4)),
         ];
-        let coalesced = assert_coalescing_identical(&reqs, false);
+        let coalesced = assert_coalescing_identical(&reqs);
         // Only the 0→64 continuation coalesces: the conflict replaces the
         // streak, and 128 no longer continues anything (row re-open), so
         // 192 starts a fresh streak off 128's full-path tail.
@@ -930,8 +904,8 @@ mod tests {
     }
 
     /// Coalescing never crosses a priority-class boundary: a requestor
-    /// switch (Core ↔ RME) or an admission-mode flip mid-stream — the
-    /// PS–PL QoS preemption points — forces the full path.
+    /// switch (Core ↔ RME) mid-stream — the PS–PL QoS preemption point —
+    /// forces the full path.
     #[test]
     fn class_switch_breaks_streak() {
         // Core and RME alternate on one sequential stream: no continuation
@@ -947,20 +921,7 @@ mod tests {
                 MemRequest::new(i * 64, 64, ns(i)).with_requestor(requestor)
             })
             .collect();
-        assert_eq!(assert_coalescing_identical(&reqs, true), 0);
-
-        // Flipping event-driven admission mid-streak changes the demand
-        // class of Core traffic: the next request must not coalesce onto a
-        // streak booked under the other class.
-        let mut c = ctl();
-        c.access(MemRequest::new(0, 64, ns(0)));
-        c.access(MemRequest::new(64, 64, ns(1)));
-        assert_eq!(c.coalesced_chunks(), 1);
-        c.set_event_driven(true);
-        c.access(MemRequest::new(128, 64, ns(2)));
-        assert_eq!(c.coalesced_chunks(), 1, "class flip must break the streak");
-        c.access(MemRequest::new(192, 64, ns(3)));
-        assert_eq!(c.coalesced_chunks(), 2, "the new class streaks on its own");
+        assert_eq!(assert_coalescing_identical(&reqs), 0);
     }
 
     /// Writes never coalesce (their attribution differs), but a write does
@@ -978,7 +939,7 @@ mod tests {
                 }
             })
             .collect();
-        let coalesced = assert_coalescing_identical(&reqs, false);
+        let coalesced = assert_coalescing_identical(&reqs);
         // 15 continuations, minus the 4 writes (full path each).
         assert_eq!(coalesced, 11);
         let mut c = ctl();

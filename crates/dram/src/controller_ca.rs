@@ -23,19 +23,17 @@
 //!   completion (admission stall, counted in [`DramStats::queue_stalls`]).
 //!
 //! Within one multi-row request the chunks are scheduled row-hits first
-//! (FR-FCFS order). Across requests the scope depends on the path: the
-//! synchronous [`access`](CycleAccurateDram::access) path is
-//! arrival-ordered — its callers need each completion before they can
-//! take another step, so older requests can never be reordered behind
-//! younger ones — while the event-driven
+//! (FR-FCFS order). Across requests the scope depends on the entry point:
+//! [`access`](CycleAccurateDram::access) is arrival-ordered — its callers
+//! need each completion before they can take another step, so older
+//! requests can never be reordered behind younger ones — while
 //! [`issue`](CycleAccurateDram::issue) /
-//! [`drain_completions`](CycleAccurateDram::drain_completions) path
-//! (enabled via [`set_event_driven`](CycleAccurateDram::set_event_driven))
-//! buffers writes and schedules them lazily: a read presented while writes
-//! sit buffered bypasses them, and buffered writes drain row-hits first
+//! [`drain_completions`](CycleAccurateDram::drain_completions) buffer
+//! writes and schedule them lazily: a read presented while writes sit
+//! buffered bypasses them, and buffered writes drain row-hits first
 //! regardless of their arrival order. Both reorder flavours are counted in
-//! [`DramStats::fr_fcfs_reorders`], which stays exactly zero on the
-//! synchronous path.
+//! [`DramStats::fr_fcfs_reorders`], which stays exactly zero while no
+//! write has been issued.
 //!
 //! The model shares [`AddressMapping`] (including the XOR bank hash),
 //! [`MemRequest`]/[`Completion`] and [`DramStats`] with the occupancy
@@ -155,14 +153,10 @@ pub struct CycleAccurateDram {
     /// Completion times of in-flight transactions (bounded admission).
     inflight: Vec<SimTime>,
     queue: CompletionQueue,
-    /// Writes issued asynchronously but not yet scheduled (event mode
-    /// only): the cross-request FR-FCFS window. Each entry keeps its issue
+    /// Writes issued asynchronously but not yet scheduled: the
+    /// cross-request FR-FCFS window. Each entry keeps its issue
     /// id so the drain can detect when a row hit overtakes an older miss.
     pending_writes: Vec<(RequestId, MemRequest)>,
-    /// Whether the asynchronous issue path defers writes into
-    /// [`pending_writes`](Self::pending_writes). Survives
-    /// [`reset`](Self::reset) — it is a mode, not timing state.
-    event_mode: bool,
     stats: DramStats,
     /// Observability hook (no-op unless recording; see `relmem_sim::trace`).
     tracer: Tracer,
@@ -180,7 +174,6 @@ impl CycleAccurateDram {
             inflight: Vec::with_capacity(cfg.queue_depth.max(1)),
             queue: CompletionQueue::default(),
             pending_writes: Vec::new(),
-            event_mode: false,
             mapping,
             cfg,
             stats: DramStats::default(),
@@ -208,9 +201,8 @@ impl CycleAccurateDram {
         &self.stats
     }
 
-    /// Resets all command state, the queues and the statistics. The
-    /// event-driven mode flag survives: `reset` marks a measurement
-    /// boundary, not a mode change.
+    /// Resets all command state, the queues (dropping any buffered writes)
+    /// and the statistics.
     pub fn reset(&mut self) {
         self.banks.iter_mut().for_each(|b| *b = BankState::idle());
         self.faw.clear();
@@ -220,20 +212,6 @@ impl CycleAccurateDram {
         self.queue.reset();
         self.pending_writes.clear();
         self.stats = DramStats::default();
-    }
-
-    /// Enables or disables the event-driven write buffer. With it off,
-    /// [`issue`](Self::issue) schedules eagerly like the occupancy model.
-    pub fn set_event_driven(&mut self, on: bool) {
-        if !on {
-            self.flush_pending_writes(None);
-        }
-        self.event_mode = on;
-    }
-
-    /// Whether the event-driven write buffer is enabled.
-    pub fn event_driven(&self) -> bool {
-        self.event_mode
     }
 
     /// Time the data bus becomes free.
@@ -455,9 +433,8 @@ impl CycleAccurateDram {
     /// [`DramController::access`](crate::DramController::access)).
     pub fn access(&mut self, req: MemRequest) -> Completion {
         // Cross-request FR-FCFS: a read scheduled while older writes sit in
-        // the event-mode write buffer has bypassed them. The buffer is
-        // empty whenever the controller runs purely synchronously, so this
-        // can never perturb the arrival-ordered paths.
+        // the write buffer has bypassed them. The buffer is empty until a
+        // write is issued, so this never perturbs read-only traffic.
         if req.kind == ReqKind::Read && !self.pending_writes.is_empty() {
             self.stats.fr_fcfs_reorders += 1;
             let pending = self.pending_writes.len() as u64;
@@ -531,22 +508,19 @@ impl CycleAccurateDram {
 
     /// Issues a request asynchronously. Reads are scheduled eagerly (they
     /// are latency-critical and the simulator's callers compute with their
-    /// timing); writes in event mode enter the
-    /// `pending_writes` buffer and are scheduled at
-    /// the next drain, row-hits first — the cross-request FR-FCFS window.
+    /// timing); writes enter the `pending_writes` buffer and are scheduled
+    /// at the next drain, row-hits first — the cross-request FR-FCFS window.
     pub fn issue(&mut self, req: MemRequest) -> RequestId {
         let id = self.queue.next_id();
         if req.kind == ReqKind::Write {
             self.stats.writebacks += 1;
-            if self.event_mode {
-                self.pending_writes.push((id, req));
-                // Backstop: a real controller's write buffer is bounded by
-                // the transaction queue; past that everything drains.
-                if self.pending_writes.len() > self.cfg.queue_depth.max(1) {
-                    self.flush_pending_writes(None);
-                }
-                return id;
+            self.pending_writes.push((id, req));
+            // Backstop: a real controller's write buffer is bounded by the
+            // transaction queue; past that everything drains.
+            if self.pending_writes.len() > self.cfg.queue_depth.max(1) {
+                self.flush_pending_writes(None);
             }
+            return id;
         }
         let completion = self.access(req);
         self.queue.push(id, completion);
@@ -905,9 +879,8 @@ mod tests {
     }
 
     #[test]
-    fn event_mode_buffers_writes_and_reads_bypass_them() {
+    fn issued_writes_buffer_and_reads_bypass_them() {
         let mut c = ctl();
-        c.set_event_driven(true);
         let w = c.issue(MemRequest::new(0, 64, SimTime::ZERO).as_write());
         assert_eq!(c.outstanding(), 1, "the write sits buffered");
         assert_eq!(c.stats().writebacks, 1);
@@ -925,7 +898,6 @@ mod tests {
     #[test]
     fn buffered_writes_drain_row_hits_first() {
         let mut c = ctl();
-        c.set_event_driven(true);
         // Open row 0's row buffer on bank 0.
         let warm = c.access(MemRequest::new(0, 64, SimTime::ZERO));
         assert!(!warm.row_hit);
@@ -956,7 +928,6 @@ mod tests {
             xor_bank_hash: false,
             ..DramConfig::default()
         });
-        c.set_event_driven(true);
         for i in 0..8u64 {
             c.issue(MemRequest::new(i * 4096, 64, SimTime::ZERO).as_write());
         }
@@ -965,23 +936,21 @@ mod tests {
             "the capacity backstop must have flushed buffered writes"
         );
         assert_eq!(c.stats().writebacks, 8);
-        // Mode survives reset; buffered/pending state does not.
+        // Buffered/pending state does not survive reset.
         c.reset();
-        assert!(c.event_driven());
         assert_eq!(c.outstanding(), 0);
         assert_eq!(c.stats(), &DramStats::default());
     }
 
     #[test]
-    fn synchronous_path_never_counts_reorders() {
+    fn arrival_ordered_access_never_counts_reorders() {
         let mut c = ctl();
         c.access(MemRequest::new(0, 64, SimTime::ZERO).as_write());
         c.access(MemRequest::new(64, 64, SimTime::ZERO));
         c.access(MemRequest::new(same_bank_row(&c, 3), 64, SimTime::ZERO));
         assert_eq!(c.stats().fr_fcfs_reorders, 0);
-        // Event-mode *reads* through issue() are eager and also reorder-free
-        // while no write is buffered.
-        c.set_event_driven(true);
+        // *Reads* through issue() are eager and also reorder-free while no
+        // write is buffered.
         c.issue(MemRequest::new(128, 64, SimTime::ZERO));
         assert_eq!(c.stats().fr_fcfs_reorders, 0);
     }

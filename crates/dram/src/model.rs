@@ -106,10 +106,9 @@ impl DramModel {
     /// Issues a request asynchronously; its completion is retrieved later
     /// through [`drain_completions`](Self::drain_completions). Under the
     /// occupancy model (and for reads under the cycle-accurate model) the
-    /// request is scheduled eagerly — only retrieval is deferred, which
-    /// keeps the event-driven path counter-identical to the synchronous
-    /// one. The cycle-accurate model in event-driven mode additionally
-    /// buffers writes into its cross-request FR-FCFS window.
+    /// request is scheduled eagerly — only retrieval is deferred, so its
+    /// counters are those of [`access`](Self::access). The cycle-accurate
+    /// model buffers writes into its cross-request FR-FCFS window.
     pub fn issue(&mut self, req: MemRequest) -> RequestId {
         match self {
             DramModel::Occupancy(c) => c.issue(req),
@@ -144,18 +143,6 @@ impl DramModel {
         }
     }
 
-    /// Enables or disables event-driven mode. The occupancy model switches
-    /// CPU requests to demand-priority admission (they no longer queue
-    /// behind the RME's paced future reservations); its issue path stays a
-    /// counter-neutral eager pass-through either way. The cycle-accurate
-    /// model toggles its write buffer (the cross-request FR-FCFS window).
-    pub fn set_event_driven(&mut self, on: bool) {
-        match self {
-            DramModel::Occupancy(c) => c.set_event_driven(on),
-            DramModel::CycleAccurate(c) => c.set_event_driven(on),
-        }
-    }
-
     /// The active model's trace hook (recording is controlled by the
     /// system; the hook is a no-op by default).
     pub fn tracer_mut(&mut self) -> &mut Tracer {
@@ -166,16 +153,12 @@ impl DramModel {
     }
 
     /// Whether dirty cache evictions should reach this model as real DRAM
-    /// writes. True only for the cycle-accurate model in event-driven mode:
-    /// that is where tWR/tWTR constraints exist to observe them, and gating
-    /// here keeps the occupancy model (every golden fixture) and the
-    /// synchronous cycle-accurate path bit-identical to their
-    /// pre-event-queue behaviour.
+    /// writes. True only for the cycle-accurate model: that is where
+    /// tWR/tWTR constraints exist to observe them, and gating here keeps
+    /// the occupancy model (and every golden fixture built on it) free of
+    /// writeback traffic.
     pub fn writebacks_active(&self) -> bool {
-        match self {
-            DramModel::Occupancy(_) => false,
-            DramModel::CycleAccurate(c) => c.event_driven(),
-        }
+        matches!(self, DramModel::CycleAccurate(_))
     }
 }
 
@@ -232,16 +215,13 @@ mod tests {
     }
 
     /// The dispatcher's issue/drain path on the occupancy model matches the
-    /// synchronous access path bit for bit — the invariant the differential
-    /// equivalence suite scales up to whole-system runs.
+    /// `access` path bit for bit: the occupancy model schedules eagerly and
+    /// only defers handing the completions back.
     #[test]
     fn occupancy_issue_drain_matches_access() {
         let cfg = DramConfig::default();
         let mut sync = DramModel::new(cfg);
         let mut evt = DramModel::new(cfg);
-        // Core-only traffic: backfill admission degenerates to FIFO, so
-        // event mode must stay bit-identical to the synchronous path.
-        evt.set_event_driven(true);
         let mut expected = Vec::new();
         for i in 0..64u64 {
             let mut req = MemRequest::new(i * 80, 32, SimTime::from_nanos(i));
@@ -264,16 +244,15 @@ mod tests {
         assert_eq!(&evt_stats, sync.stats());
     }
 
-    /// In event mode the cycle-accurate model defers writes but reads stay
-    /// synchronous-identical until a write enters the buffer.
+    /// The cycle-accurate model's issue path defers writes, while reads
+    /// schedule eagerly exactly as through `access`.
     #[test]
-    fn cycle_accurate_event_mode_defers_only_writes() {
+    fn cycle_accurate_issue_defers_only_writes() {
         let cfg = DramConfig {
             model: MemoryModel::CycleAccurate,
             ..DramConfig::default()
         };
         let mut m = DramModel::new(cfg);
-        m.set_event_driven(true);
         assert!(m.writebacks_active());
         m.issue(MemRequest::new(0, 64, SimTime::ZERO));
         assert_eq!(m.stats().accesses, 1, "reads schedule eagerly");
@@ -283,9 +262,8 @@ mod tests {
         m.drain_all();
         assert_eq!(m.stats().writes, 1);
         assert_eq!(m.outstanding(), 0);
-        // reset() keeps the mode but clears the queue.
+        // reset() clears the queue.
         m.reset();
-        assert!(m.writebacks_active());
         assert_eq!(m.outstanding(), 0);
         assert_eq!(m.stats(), &DramStats::default());
     }

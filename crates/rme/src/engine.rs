@@ -45,17 +45,12 @@ pub struct RmeEngine {
     monitor: MonitorBypass,
     programmed: Option<Programmed>,
     line_bytes: usize,
-    /// Whether frames are fetched incrementally (event-driven mode): a
-    /// frame turnover generates the descriptor stream but books each
-    /// descriptor's DRAM traffic lazily, as the demand cursor reaches it,
-    /// so fetch overlaps compute line by line instead of booking the whole
-    /// frame in one step. Off (the synchronous whole-frame fetch) by
-    /// default.
-    incremental: bool,
-    /// Booking cursor of the activated frame (incremental mode only):
-    /// descriptors `[next..]` have been generated — with their dispatch
-    /// anchors frozen at activation, so booking order is the only thing
-    /// laziness changes — but not yet presented to the fetch units.
+    /// Booking cursor of the activated frame. A frame turnover generates
+    /// the whole descriptor stream but books each descriptor's DRAM traffic
+    /// lazily, as the demand cursor reaches it, so fetch overlaps compute
+    /// line by line: descriptors `[next..]` have been generated — with
+    /// their dispatch anchors frozen at activation — but not yet presented
+    /// to the fetch units.
     progress: Option<FrameProgress>,
     stats: RmeStats,
     /// Line requests served per CPU core (indexed by core, grown on
@@ -83,26 +78,25 @@ struct Programmed {
     rows_per_frame: u64,
 }
 
-/// Lazy-booking state of the frame most recently activated in incremental
-/// mode. The full descriptor stream exists from activation (the hardware
-/// Requestor emits one descriptor per PL cycle regardless of demand); what
-/// is deferred is presenting descriptors to the Fetch Units — i.e. booking
-/// their DRAM traffic — which happens in stream order as the demand cursor
-/// advances, and is completed wholesale on frame turnover or at
-/// [`RmeEngine::finish_pending_fetch`] so the traffic totals of a run are
-/// identical to the synchronous whole-frame fetch.
+/// Lazy-booking state of the most recently activated frame. The full
+/// descriptor stream exists from activation (the hardware Requestor emits
+/// one descriptor per PL cycle regardless of demand); what is deferred is
+/// presenting descriptors to the Fetch Units — i.e. booking their DRAM
+/// traffic — which happens in stream order as the demand cursor advances,
+/// and is completed wholesale on frame turnover or at
+/// [`RmeEngine::finish_pending_fetch`], so every activated frame books its
+/// whole descriptor stream exactly once whatever the demand.
 #[derive(Debug, Clone)]
 struct FrameProgress {
     frame: u64,
     descriptors: Vec<DispatchedDescriptor>,
     /// Index of the first descriptor not yet booked.
     next: usize,
-    /// Latest buffer-write completion among booked descriptors (the tail
-    /// force-complete time, as in the synchronous fetch).
+    /// Latest buffer-write completion among booked descriptors (the time
+    /// the frame's partial tail line is force-completed).
     latest: SimTime,
     packed_row: usize,
     rows_in_frame: usize,
-    tail_done: bool,
     /// When the frame was activated (the fetch window's trace anchor).
     activated: SimTime,
 }
@@ -179,7 +173,6 @@ impl RmeEngine {
             hw,
             programmed: None,
             line_bytes,
-            incremental: false,
             progress: None,
             stats: RmeStats::default(),
             per_core_requests: Vec::new(),
@@ -333,15 +326,13 @@ impl RmeEngine {
 
         let (axi, at_pl) = self.trapper.accept(addr, ready);
 
-        // In incremental mode, bring the booking cursor up to the demanded
-        // line of the resident frame *before* the lookup classifies it: the
-        // synchronous fetch booked the whole frame at turnover, so a line
-        // the lazy cursor has not reached yet corresponds to a sync "hit
-        // whose data is still in flight". Booking it now, at its frozen
-        // dispatch anchor, keeps hit/miss accounting and completion times
-        // bit-identical to the synchronous path on identical demand streams.
-        if self.incremental && self.monitor.resident_frame() == Some(frame) {
-            self.advance_booking(frame, line_in_frame, mem, dram);
+        // Bring the booking cursor up to the demanded line of the resident
+        // frame *before* the lookup classifies it: a line of the resident
+        // frame is a hit whose data may still be in flight, never a miss,
+        // so hit/miss accounting does not depend on how far ahead of the
+        // demand the cursor happens to be.
+        if self.monitor.resident_frame() == Some(frame) {
+            self.book_pending(Some(line_in_frame), mem, dram);
         }
 
         let data_ready_pl = match self.monitor.lookup(frame, line_in_frame) {
@@ -351,19 +342,15 @@ impl RmeEngine {
             }
             Lookup::Miss => {
                 self.stats.buffer_misses += 1;
-                if self.incremental {
-                    // Frame turnover (or an empty-tail miss, where all of
-                    // this is a no-op): settle the outgoing frame's unbooked
-                    // descriptors before the epoch reset discards them, then
-                    // activate the new frame and book up to the demand.
-                    self.finish_frame_remainder(mem, dram);
-                    if self.monitor.frame_miss(frame) {
-                        self.activate_frame(frame, at_pl, mem, dram);
-                    }
-                    self.advance_booking(frame, line_in_frame, mem, dram);
-                } else if self.monitor.frame_miss(frame) {
-                    self.fetch_frame(frame, at_pl, mem, dram);
+                // Frame turnover (or an empty-tail miss, where all of this
+                // is a no-op): settle the outgoing frame's unbooked
+                // descriptors before the epoch reset discards them, then
+                // activate the new frame and book up to the demand.
+                self.finish_pending_fetch(mem, dram);
+                if self.monitor.frame_miss(frame) {
+                    self.activate_frame(frame, at_pl, mem, dram);
                 }
+                self.book_pending(Some(line_in_frame), mem, dram);
                 let completed_at = match self.monitor.lookup(frame, line_in_frame) {
                     Lookup::Hit(t) => t,
                     Lookup::Miss => at_pl, // an empty frame tail; nothing to wait for
@@ -402,11 +389,9 @@ impl RmeEngine {
     }
 
     /// Whether every buffer line covering `len` bytes at frame-local offset
-    /// `in_frame` has completed. Always true inside the packed data of a
-    /// synchronously fetched frame; in incremental mode a line the demand
-    /// cursor has not reached yet is still incomplete, and functional reads
-    /// must fall back to packing from memory rather than return its
-    /// half-written bytes.
+    /// `in_frame` has completed. A line the booking cursor has not reached
+    /// yet is still incomplete, and functional reads must fall back to
+    /// packing from memory rather than return its half-written bytes.
     fn lines_complete(&self, frame: u64, in_frame: usize, len: usize) -> bool {
         if len == 0 {
             return true;
@@ -503,39 +488,10 @@ impl RmeEngine {
         self.progress = None;
     }
 
-    fn fetch_frame(
-        &mut self,
-        frame: u64,
-        start_pl: SimTime,
-        mem: &PhysicalMemory,
-        dram: &mut DramModel,
-    ) {
-        let p = self.programmed.as_ref().expect("engine configured");
-        let rows = p.frame_rows(frame);
-        let geometry = p.geometry.clone();
-        let packed_row = geometry.packed_row_bytes();
-        self.stats.frames_fetched += 1;
-        self.charge_mvcc_headers(&geometry, &rows, start_pl, mem, dram);
-        let dispatched = self.requestor.generate_frame(&geometry, &rows, start_pl);
-        let mut latest = start_pl;
-        for d in dispatched {
-            latest = latest.max(self.book_descriptor(&d, mem, dram));
-        }
-        self.finish_partial_tail(rows.len(), packed_row, latest);
-        let lines = (rows.len() * packed_row).div_ceil(self.line_bytes) as u64;
-        self.tracer.emit(|| {
-            TraceEvent::instant(Track::Rme, TraceEventKind::FrameActivate, start_pl, frame, 0)
-        });
-        self.tracer.emit(|| {
-            TraceEvent::span(Track::Rme, TraceEventKind::FrameFetch, start_pl, latest, frame, lines)
-        });
-    }
-
     /// MVCC visibility filtering must inspect the version header of every
     /// source row in the frame's span, including the rows it ends up
-    /// skipping. Charged eagerly at frame activation on both fetch paths:
-    /// header inspection is what *determines* the frame's rows, so it is
-    /// not demand-elidable.
+    /// skipping. Charged eagerly at frame activation: header inspection is
+    /// what *determines* the frame's rows, so it is not demand-elidable.
     fn charge_mvcc_headers(
         &mut self,
         geometry: &TableGeometry,
@@ -596,10 +552,10 @@ impl RmeEngine {
         chunk.written_at
     }
 
-    /// Activates `frame` for incremental fetching: charges the eager MVCC
-    /// header traffic, generates the full descriptor stream with dispatch
-    /// anchors frozen at `start_pl`, and books *nothing* — booking follows
-    /// the demand cursor through [`advance_booking`](Self::advance_booking).
+    /// Activates `frame` for fetching: charges the eager MVCC header
+    /// traffic, generates the full descriptor stream with dispatch anchors
+    /// frozen at `start_pl`, and books *nothing* — booking follows the
+    /// demand cursor through [`book_pending`](Self::book_pending).
     fn activate_frame(
         &mut self,
         frame: u64,
@@ -624,34 +580,33 @@ impl RmeEngine {
             latest: start_pl,
             packed_row,
             rows_in_frame: rows.len(),
-            tail_done: false,
             activated: start_pl,
         });
     }
 
     /// Books descriptors of the activated frame, in stream order at their
-    /// frozen anchors, until the demanded line completes (or the stream is
-    /// exhausted, which force-completes the partial tail). Prefix-monotone:
-    /// any demand order books the same descriptor prefix sequence the
-    /// synchronous whole-frame fetch would, so single-stream timing is
-    /// bit-identical to it.
-    fn advance_booking(
-        &mut self,
-        frame: u64,
-        line_in_frame: usize,
-        mem: &PhysicalMemory,
-        dram: &mut DramModel,
-    ) {
+    /// frozen anchors, until line `until` of it completes — or all of them
+    /// when `until` is `None` (the frame is being evicted, or the run is
+    /// ending), so the frame's total DRAM traffic does not depend on how
+    /// much of it was demanded. Prefix-monotone: any demand order books the
+    /// descriptors in the same stream order, so while the engine is the
+    /// only DRAM requestor each one's timing does not depend on when the
+    /// demand reached it. Exhausting the stream
+    /// force-completes the partial tail line and drops the progress state,
+    /// closing the frame's fetch window in the trace.
+    fn book_pending(&mut self, until: Option<usize>, mem: &PhysicalMemory, dram: &mut DramModel) {
         let Some(mut progress) = self.progress.take() else {
             return;
         };
-        if progress.frame != frame {
-            debug_assert!(false, "frame turnover must settle the old frame first");
-            self.progress = Some(progress);
-            return;
-        }
+        debug_assert_eq!(
+            Some(progress.frame),
+            self.monitor.resident_frame(),
+            "booking progress belongs to the resident frame"
+        );
         while progress.next < progress.descriptors.len()
-            && matches!(self.monitor.lookup(frame, line_in_frame), Lookup::Miss)
+            && until.is_none_or(|line| {
+                matches!(self.monitor.lookup(progress.frame, line), Lookup::Miss)
+            })
         {
             let written = self.book_descriptor(&progress.descriptors[progress.next], mem, dram);
             progress.latest = progress.latest.max(written);
@@ -659,42 +614,14 @@ impl RmeEngine {
         }
         if progress.next < progress.descriptors.len() {
             self.progress = Some(progress);
-        } else {
-            if !progress.tail_done {
-                self.finish_partial_tail(
-                    progress.rows_in_frame,
-                    progress.packed_row,
-                    progress.latest,
-                );
-            }
-            // A fully booked frame needs no progress state: drop it,
-            // closing its fetch window in the trace.
-            self.emit_frame_fetch(&progress);
-        }
-    }
-
-    /// Books every remaining descriptor of the activated frame at its
-    /// frozen anchor (the frame is being evicted, or the run is ending),
-    /// making the frame's total DRAM traffic identical to the synchronous
-    /// whole-frame fetch.
-    fn finish_frame_remainder(&mut self, mem: &PhysicalMemory, dram: &mut DramModel) {
-        let Some(mut progress) = self.progress.take() else {
             return;
-        };
-        while progress.next < progress.descriptors.len() {
-            let written = self.book_descriptor(&progress.descriptors[progress.next], mem, dram);
-            progress.latest = progress.latest.max(written);
-            progress.next += 1;
         }
-        if !progress.tail_done {
-            self.finish_partial_tail(progress.rows_in_frame, progress.packed_row, progress.latest);
-        }
+        self.finish_partial_tail(progress.rows_in_frame, progress.packed_row, progress.latest);
         self.emit_frame_fetch(&progress);
     }
 
-    /// Emits the fetch window of a fully booked incremental frame:
-    /// activation → latest buffer-write completion, matching the span the
-    /// synchronous whole-frame fetch records.
+    /// Emits the fetch window of a fully booked frame: activation → latest
+    /// buffer-write completion.
     fn emit_frame_fetch(&mut self, progress: &FrameProgress) {
         let lines = (progress.rows_in_frame * progress.packed_row).div_ceil(self.line_bytes) as u64;
         let (frame, activated, latest) = (progress.frame, progress.activated, progress.latest);
@@ -703,34 +630,13 @@ impl RmeEngine {
         });
     }
 
-    /// Settles any incremental frame fetch still in flight by booking every
-    /// remaining descriptor, so a run's DRAM traffic totals are identical
-    /// to the synchronous fetch even when the run ends mid-frame. Call at
-    /// the end of a measured run (and before any timing reset); a no-op in
-    /// synchronous mode or when the resident frame is fully booked.
+    /// Settles any frame fetch still in flight by booking every remaining
+    /// descriptor, so a run's DRAM traffic totals include the whole frame
+    /// even when the run ends mid-frame. Call at the end of a measured run
+    /// (and before any timing reset); a no-op when the resident frame is
+    /// fully booked.
     pub fn finish_pending_fetch(&mut self, mem: &PhysicalMemory, dram: &mut DramModel) {
-        self.finish_frame_remainder(mem, dram);
-    }
-
-    /// Selects incremental (event-driven) frame fetching. Flip only at a
-    /// measurement boundary: switching with a partially booked frame in
-    /// flight would silently drop its remaining traffic, so settle it via
-    /// [`finish_pending_fetch`](Self::finish_pending_fetch) first.
-    pub fn set_incremental(&mut self, on: bool) {
-        if self.incremental == on {
-            return;
-        }
-        debug_assert!(
-            self.progress.is_none(),
-            "settle the pending fetch before flipping the fetch mode"
-        );
-        self.incremental = on;
-        self.progress = None;
-    }
-
-    /// Whether incremental frame fetching is enabled.
-    pub fn incremental(&self) -> bool {
-        self.incremental
+        self.book_pending(None, mem, dram);
     }
 
     /// Marks the trailing, partially filled cache line of a frame complete
@@ -1030,108 +936,114 @@ mod tests {
         assert!(f.engine.configure(geometry, None).is_err());
     }
 
-    /// Runs a full sequential scan (with per-line functional reads) and
-    /// returns everything observable: per-line service times, packed bytes,
-    /// engine stats and DRAM stats.
-    fn full_scan(
-        incremental: bool,
-        spm_bytes: Option<usize>,
-        mvcc: MvccConfig,
-    ) -> (Vec<SimTime>, Vec<u8>, RmeStats, relmem_dram::DramStats) {
-        let mut f = fixture(3_000, HwRevision::Mlp, mvcc);
+    /// What a scan observed, next to the software projection it must match.
+    struct ScanOutcome {
+        /// Packed bytes read back line by line during the scan.
+        packed: Vec<u8>,
+        /// The whole packed projection read back after the fetch settled.
+        settled: Vec<u8>,
+        reference: Vec<u8>,
+        /// DRAM accesses booked before the in-flight fetch was settled.
+        booked_early: u64,
+        stats: RmeStats,
+        dram: relmem_dram::DramStats,
+    }
+
+    /// Scans the first `1/fraction` of the packed projection of columns 0
+    /// and 2 line by line (with per-line functional reads), then settles
+    /// the fetch still in flight.
+    fn scan(rows: u64, spm_bytes: Option<usize>, mvcc: MvccConfig, fraction: u64) -> ScanOutcome {
+        let mut f = fixture(rows, HwRevision::Mlp, mvcc);
         if let Some(spm) = spm_bytes {
             let mut hw = *f.engine.hw_config();
             hw.data_spm_bytes = spm;
             let cfg = PlatformConfig::zcu102();
             f.engine = RmeEngine::new(hw, cfg.cdc, HwRevision::Mlp, cfg.dram.bus_bytes, 64);
         }
-        f.engine.set_incremental(incremental);
         let snapshot = match mvcc {
             MvccConfig::Enabled => Some(Snapshot::at(10)),
             MvccConfig::Disabled => None,
         };
         configure(&mut f, vec![0, 2], snapshot);
         let total = f.engine.packed_total_bytes();
+        let end = f.ephemeral_base + total / fraction;
         let mut now = SimTime::ZERO;
         let mut addr = f.ephemeral_base;
-        let mut times = Vec::new();
         let mut packed = Vec::new();
-        while addr < f.ephemeral_base + total {
+        while addr < end {
             now = f.engine.serve_line(addr, now, &f.mem, &mut f.dram);
-            times.push(now);
             let len = 64.min((f.ephemeral_base + total - addr) as usize);
             packed.extend(f.engine.read_packed(addr, len, &f.mem));
             addr += 64;
         }
+        let booked_early = f.dram.stats().accesses;
         f.engine.finish_pending_fetch(&f.mem, &mut f.dram);
-        (times, packed, f.engine.stats(), f.dram.stats().clone())
+        ScanOutcome {
+            packed,
+            settled: f
+                .engine
+                .read_packed(f.ephemeral_base, total as usize, &f.mem),
+            reference: reference_packed(&f, &[0, 2], snapshot),
+            booked_early,
+            stats: f.engine.stats(),
+            dram: f.dram.stats().clone(),
+        }
     }
 
-    /// An incremental multi-frame scan is bit-identical to the synchronous
-    /// whole-frame fetch on single-stream traffic: prefix-monotone booking
-    /// at frozen dispatch anchors reproduces the exact same descriptor
-    /// sequence, so every service time and every counter matches.
+    /// A multi-frame scan reads back exactly the software projection, one
+    /// fetched frame per Reorganization Buffer load.
     #[test]
-    fn incremental_full_scan_is_bit_identical_to_synchronous() {
-        let sync = full_scan(false, Some(4 * 1024), MvccConfig::Disabled);
-        let evt = full_scan(true, Some(4 * 1024), MvccConfig::Disabled);
-        assert_eq!(sync.0, evt.0, "per-line service times must match");
-        assert_eq!(sync.1, evt.1, "packed data must match");
-        assert_eq!(sync.2, evt.2, "engine stats must match");
-        assert_eq!(sync.3, evt.3, "DRAM stats must match");
+    fn multi_frame_scan_packs_the_software_projection() {
+        let out = scan(3_000, Some(4 * 1024), MvccConfig::Disabled, 1);
+        assert_eq!(out.packed, out.reference, "per-line reads must match");
+        assert_eq!(out.settled, out.reference);
+        // 8-byte packed rows: 512 per 4 KiB frame, so 3000 rows take 6.
+        assert_eq!(out.stats.frames_fetched, 6);
     }
 
-    /// Same identity with MVCC filtering active: header-inspection traffic
-    /// is charged eagerly at activation on both paths.
+    /// Same with MVCC filtering active: header-inspection traffic is
+    /// charged eagerly at activation and the packed rows stay correct.
     #[test]
-    fn incremental_scan_matches_synchronous_under_mvcc() {
-        let sync = full_scan(false, None, MvccConfig::Enabled);
-        let evt = full_scan(true, None, MvccConfig::Enabled);
-        assert_eq!(sync.0, evt.0);
-        assert_eq!(sync.1, evt.1);
-        assert_eq!(sync.2, evt.2);
-        assert_eq!(sync.3, evt.3);
+    fn mvcc_scan_packs_the_visible_projection() {
+        let out = scan(3_000, None, MvccConfig::Enabled, 1);
+        assert_eq!(out.packed, out.reference);
+        assert_eq!(out.settled, out.reference);
+        assert_eq!(out.stats.frames_fetched, 1);
     }
 
     /// A scan abandoned mid-frame books less traffic up front, but
-    /// `finish_pending_fetch` settles the remainder so totals match the
-    /// synchronous fetch — the invariant whole-system runs rely on at
-    /// measurement end.
+    /// `finish_pending_fetch` settles the remainder so the frame's traffic
+    /// equals that of a full scan — the invariant whole-system runs rely
+    /// on at measurement end.
     #[test]
-    fn abandoned_incremental_fetch_settles_to_synchronous_traffic() {
-        let run = |incremental: bool| {
-            let mut f = fixture(2_000, HwRevision::Mlp, MvccConfig::Disabled);
-            f.engine.set_incremental(incremental);
-            configure(&mut f, vec![0], None);
-            // Demand only the first quarter of the frame, then stop.
-            let total = f.engine.packed_total_bytes() / 4;
-            let mut now = SimTime::ZERO;
-            let mut addr = f.ephemeral_base;
-            while addr < f.ephemeral_base + total {
-                now = f.engine.serve_line(addr, now, &f.mem, &mut f.dram);
-                addr += 64;
-            }
-            let booked_early = f.dram.stats().accesses;
-            f.engine.finish_pending_fetch(&f.mem, &mut f.dram);
-            (booked_early, f.dram.stats().accesses, f.engine.stats())
-        };
-        let (sync_early, sync_total, sync_stats) = run(false);
-        let (evt_early, evt_total, evt_stats) = run(true);
+    fn abandoned_fetch_settles_to_the_full_scan_traffic() {
+        let full = scan(2_000, None, MvccConfig::Disabled, 1);
+        let cut = scan(2_000, None, MvccConfig::Disabled, 4);
         assert!(
-            evt_early < sync_early,
-            "incremental mode must defer traffic ({evt_early} vs {sync_early})"
+            cut.booked_early < full.booked_early,
+            "an abandoned fetch must defer traffic ({} vs {})",
+            cut.booked_early,
+            full.booked_early
         );
-        assert_eq!(sync_total, evt_total, "settled traffic totals must match");
-        assert_eq!(sync_stats, evt_stats);
+        assert_eq!(cut.dram, full.dram, "settled DRAM stats must match");
+        let fetch_totals = |s: RmeStats| {
+            (
+                s.frames_fetched,
+                s.descriptors,
+                s.dram_beats,
+                s.useful_bytes,
+            )
+        };
+        assert_eq!(fetch_totals(cut.stats), fetch_totals(full.stats));
+        assert_eq!(cut.settled, full.reference);
     }
 
     /// Functional reads never observe a half-fetched line: bytes the demand
     /// cursor has not reached come from the memory-packing fallback and are
     /// still correct.
     #[test]
-    fn incremental_reads_ahead_of_the_cursor_stay_correct() {
+    fn reads_ahead_of_the_booking_cursor_stay_correct() {
         let mut f = fixture(500, HwRevision::Mlp, MvccConfig::Disabled);
-        f.engine.set_incremental(true);
         configure(&mut f, vec![1, 3], None);
         let total = f.engine.packed_total_bytes();
         // Demand exactly one line, leaving the rest of the frame unbooked.

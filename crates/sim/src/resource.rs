@@ -396,7 +396,7 @@ mod tests {
     fn priority_demand_only_traffic_matches_resource() {
         // With no paced reservations to preempt, the demand class is plain
         // FIFO occupancy — the identity that keeps pure-CPU request streams
-        // unchanged under event-driven mode.
+        // unchanged by demand-priority admission.
         let mut res = Resource::new("bus");
         let mut pr = PriorityResource::new("bus");
         let reqs = [(0u64, 10u64), (2, 5), (100, 1), (90, 7), (100, 3)];

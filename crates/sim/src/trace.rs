@@ -150,7 +150,7 @@ pub enum TraceEventKind {
     /// A completion-queue drain delivered events (arg0 = completions).
     CompletionDrain,
     // --- RME (engine track) ---
-    /// A frame activation (incremental fetch start; arg0 = frame).
+    /// A frame activation (fetch start; arg0 = frame).
     FrameActivate,
     /// A frame-fetch window, activation → last buffer write (arg0 =
     /// frame, arg1 = lines fetched).
@@ -192,7 +192,7 @@ impl TraceEventKind {
     /// are provably disjoint-or-nested per track may be [`SpanStyle::Sync`]
     /// (the invariant tests enforce this): line fills overlap each other
     /// (a straddling access issues both lines at once), DRAM bursts
-    /// pipeline at tCCD, and an incrementally fetched frame's tail —
+    /// pipeline at tCCD, and a lazily booked frame's tail —
     /// booked at frozen anchors during turnover — can outlast the next
     /// frame's activation, so all of those render as async pairs.
     pub fn style(self) -> SpanStyle {

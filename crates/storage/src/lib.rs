@@ -14,11 +14,9 @@
 //! * [`ColumnGroup`] — the description of a projection (the geometry the
 //!   RME's configuration port receives),
 //! * seeded synthetic [`datagen`] for the Relational Memory Benchmark,
-//! * [`mvcc`] — the two-timestamp row versioning scheme of Section 4,
-//! * [`compress`] — dictionary and delta (frame-of-reference) encodings.
+//! * [`mvcc`] — the two-timestamp row versioning scheme of Section 4.
 
 pub mod column_table;
-pub mod compress;
 pub mod datagen;
 pub mod error;
 pub mod mvcc;

@@ -10,7 +10,7 @@
 //! * [`dram`] — byte-accurate physical memory + DRAM controller model.
 //! * [`cache`] — L1/L2 cache hierarchy with a stream prefetcher.
 //! * [`storage`] — schemas, row tables, column-store baseline, MVCC,
-//!   compression, data generation.
+//!   data generation.
 //! * [`rme`] — the Relational Memory Engine itself (configuration port,
 //!   requestor, fetch units, reorganization buffer, BSL/PCK/MLP revisions,
 //!   area model).

@@ -1,465 +1,46 @@
-//! Differential sync-vs-event test harness.
+//! Writeback behaviour of the event-driven memory path.
 //!
-//! The event-driven memory path (`DramModel::issue` / `drain_completions`,
-//! incremental descriptor-window fetching, demand-priority admission) is a
-//! *timing* refactor: it must never change what the simulator computes,
-//! and on every run whose DRAM traffic comes from a single requestor class
-//! it must not even change *when*. This suite pins that contract as
-//! property tests, mirroring `tests/cross_path_equivalence.rs`:
+//! The memory path is event-driven: the cache hierarchy notifies every
+//! dirty L2 eviction to its backend, which issues it asynchronously
+//! through the DRAM completion queue. Those writebacks become real DRAM
+//! writes only under the cycle-accurate model, where tWR/tWTR exist to
+//! observe them; the occupancy model (and every golden fixture built on
+//! it) never sees them.
 //!
-//! * **Single-source runs are bit-identical** (occupancy model): for
-//!   scan / sharded / workload / txn over Rows, Columnar and Ephemeral
-//!   sources, with and without MVCC, the event-driven path reproduces the
-//!   synchronous path's completion time, CPU time, values and every
-//!   cache/DRAM/RME counter. Direct sources issue only CPU (demand-class)
-//!   traffic and ephemeral sources only engine (paced-class) traffic, and
-//!   each admission class alone degenerates to the plain FIFO
-//!   [`Resource`](relmem_sim::Resource) the synchronous path uses.
-//! * **Mixed RME + CPU runs keep data and traffic totals** (occupancy
-//!   model): once both classes share a bank, demand priority legitimately
-//!   shifts timing (that honest overlap is the point of the refactor), so
-//!   the invariant weakens to everything data-determined: per-stream row
-//!   counts and value traces, engine fetch counts, write counts and
-//!   transaction accounting.
-//! * **Cycle-accurate divergences are confined to timing**: event mode
-//!   additionally buffers writes into the FR-FCFS window, which may
-//!   reorder commands and shift row-buffer locality — but values, row
-//!   counts and traffic totals (accesses, writes, chunks) must match the
-//!   synchronous cycle-accurate run exactly.
-//! * **Writeback timing**: dirty L2 evictions become real DRAM writes only
-//!   under the cycle-accurate model in event mode, where tWR/tWTR exist to
-//!   observe them — they must cost time there and change nothing anywhere
-//!   else.
+//! The reference for both tests is the same point stream with its updates
+//! replaced by lookups of the same rows: it fills exactly the same lines
+//! but dirties none, so any difference between the two runs is the cost
+//! of the writebacks. The `update_heavy_ca_event` golden fixture locks the
+//! cycle-accurate counters of this stream.
 
-use proptest::prelude::*;
-use relational_memory::cache::HierarchyStats;
-use relational_memory::core::system::{RowEffect, ScanSource, SystemConfig};
+use relational_memory::core::system::{RowEffect, SystemConfig};
 use relational_memory::core::workload::{QueryStream, Workload, WorkloadOp};
-use relational_memory::core::{TxnOp, TxnSpec};
 use relational_memory::dram::DramStats;
 use relational_memory::prelude::*;
-use relmem_sim::{MemoryModel, SimTime, TxnStats};
+use relmem_sim::{MemoryModel, SimTime};
 
-const ROWS_CAP: u64 = 400;
-
-/// Per-stream `(row, projected values)` traces.
-type Traces = Vec<Vec<(u64, Vec<u64>)>>;
-
-/// Everything observable about one run.
-#[derive(Debug, Clone, PartialEq)]
-struct RunRecord {
+/// One run of the point stream.
+struct UpdateRun {
     end: SimTime,
-    cpu: SimTime,
-    rows: u64,
-    /// Per-stream `(row, projected values)` traces. Per-stream order is
-    /// deterministic regardless of how the interleaver schedules cores.
-    traces: Traces,
-    cache: HierarchyStats,
+    /// Order-sensitive checksum of every value the lookups read back.
+    checksum: u64,
     dram: DramStats,
-    rme: relational_memory::rme::RmeStats,
-    txn: TxnStats,
 }
 
-impl RunRecord {
-    /// The data-determined subset that must survive any timing change:
-    /// row counts, value traces, engine fetch counts, writes and
-    /// transaction accounting.
-    fn data_view(&self) -> (u64, &Traces, u64, u64, u64, &TxnStats) {
-        (
-            self.rows,
-            &self.traces,
-            self.dram.rme_accesses,
-            self.dram.writes,
-            self.dram.row_hits + self.dram.row_misses,
-            &self.txn,
-        )
-    }
-}
-
-/// Which runner a case goes through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Runner {
-    /// `System::scan` on one core.
-    Scan,
-    /// `System::scan_sharded` on `cores` cores.
-    Sharded(usize),
-    /// `System::run_workload`: every core runs one single-scan stream.
-    Workload(usize),
-    /// `System::run_workload`: core 0 runs conflict-free transactions
-    /// (reads + updates), core 1 a concurrent scan of the same source.
-    Txn,
-}
-
-/// Which scan source every stream of a case uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Source {
-    Rows,
-    RowsMvcc,
-    Columnar,
-    EphemeralCold,
-    EphemeralHot,
-}
-
-const ALL_SOURCES: [Source; 5] = [
-    Source::Rows,
-    Source::RowsMvcc,
-    Source::Columnar,
-    Source::EphemeralCold,
-    Source::EphemeralHot,
-];
-
-fn build_system(cores: usize, model: MemoryModel, event: bool) -> System {
-    let mut config = SystemConfig {
-        cores,
-        mem_bytes: 32 << 20,
-        event_driven: event,
-        ..SystemConfig::default()
-    };
-    config.platform.dram.model = model;
-    System::with_config(config)
-}
-
-/// Builds an identical world per call and runs one case. Every divergence
-/// between two calls differing only in `event` is attributable to the
-/// event-driven memory path.
-fn run_case(
-    runner: Runner,
-    source: Source,
-    model: MemoryModel,
-    event: bool,
-    seed: u64,
-    rows: u64,
-) -> RunRecord {
-    let cores = match runner {
-        Runner::Scan => 1,
-        Runner::Sharded(n) | Runner::Workload(n) => n,
-        Runner::Txn => 2,
-    };
-    let mut sys = build_system(cores, model, event);
-    assert_eq!(sys.event_driven(), event);
-    let mvcc = source == Source::RowsMvcc;
-    let schema = Schema::benchmark(4, 4, 64);
-    let mut table = sys
-        .create_table(
-            schema,
-            rows,
-            if mvcc {
-                MvccConfig::Enabled
-            } else {
-                MvccConfig::Disabled
-            },
-        )
-        .unwrap();
-    DataGen::new(seed)
-        .fill_table(sys.mem_mut(), &mut table, rows)
-        .unwrap();
-    if mvcc {
-        for row in 0..rows {
-            if row.wrapping_mul(2654435761) % 3 == 0 {
-                table.mark_deleted(sys.mem_mut(), row, 5).unwrap();
-            }
-        }
-    }
-    let snapshot = mvcc.then(|| Snapshot::at(7));
-    let columns = [0usize, 2];
-
-    let columnar;
-    let var;
-    let (scan_source, path) = match source {
-        Source::Rows | Source::RowsMvcc => (
-            ScanSource::Rows {
-                table: &table,
-                columns: &columns,
-                snapshot,
-            },
-            AccessPath::DirectRowWise,
-        ),
-        Source::Columnar => {
-            columnar = sys.materialize_columnar(&table).unwrap();
-            (
-                ScanSource::Columnar {
-                    table: &columnar,
-                    columns: &columns,
-                },
-                AccessPath::DirectColumnar,
-            )
-        }
-        Source::EphemeralCold | Source::EphemeralHot => {
-            var = sys
-                .register_ephemeral(&table, ColumnGroup::new(vec![0, 2]).unwrap(), snapshot)
-                .unwrap();
-            (
-                ScanSource::Ephemeral { var: &var },
-                if source == Source::EphemeralHot {
-                    AccessPath::RmeHot
-                } else {
-                    AccessPath::RmeCold
-                },
-            )
-        }
-    };
-
-    // Conflict-free transactions over disjoint row stripes (Txn runner).
-    let read_columns = [1usize, 3];
-    let specs: Vec<TxnSpec> = (0..4u64)
-        .map(|t| {
-            let stripe = (rows / 4).max(1);
-            let lo = (t * stripe) % rows;
-            TxnSpec::new(vec![
-                TxnOp::Read {
-                    table: &table,
-                    columns: &read_columns,
-                    row: lo,
-                },
-                TxnOp::Update {
-                    table: &table,
-                    row: lo,
-                    column: 1,
-                    value: seed + t,
-                },
-                TxnOp::Update {
-                    table: &table,
-                    row: (lo + 1) % rows,
-                    column: 2,
-                    value: t,
-                },
-            ])
-        })
-        .collect();
-
-    sys.begin_measurement(path);
-    let mut traces: Traces = vec![Vec::new(); cores];
-    let effect_of = |row: u64| RowEffect {
-        cpu: SimTime::from_nanos(row % 5),
-        touch: None,
-    };
-    let (end, cpu, rows_done, txn) = match runner {
-        Runner::Scan => {
-            let (end, cpu, n) = sys.scan(&scan_source, SimTime::ZERO, |row, vals| {
-                traces[0].push((row, vals.to_vec()));
-                effect_of(row)
-            });
-            (end, cpu, n, TxnStats::default())
-        }
-        Runner::Sharded(_) => {
-            let run = sys.scan_sharded(&scan_source, SimTime::ZERO, |core, row, vals: &[u64]| {
-                traces[core].push((row, vals.to_vec()));
-                effect_of(row)
-            });
-            (run.end, run.cpu, run.rows, TxnStats::default())
-        }
-        Runner::Workload(n) => {
-            let streams: Vec<QueryStream> = (0..n)
-                .map(|_| QueryStream::new(vec![WorkloadOp::olap(scan_source)]))
-                .collect();
-            let run = sys
-                .run_workload(
-                    &Workload::new(streams),
-                    SimTime::ZERO,
-                    |core, _, row, vals| {
-                        traces[core].push((row, vals.to_vec()));
-                        effect_of(row)
-                    },
-                )
-                .expect("valid workload");
-            (run.end, run.cpu, run.rows, run.txn)
-        }
-        Runner::Txn => {
-            let txn_ops: Vec<WorkloadOp> =
-                specs.iter().map(|spec| WorkloadOp::Txn { spec }).collect();
-            let workload = Workload::new(vec![
-                QueryStream::new(txn_ops),
-                QueryStream::new(vec![WorkloadOp::olap(scan_source)]),
-            ]);
-            let run = sys
-                .run_workload(&workload, SimTime::ZERO, |core, _, row, vals| {
-                    traces[core].push((row, vals.to_vec()));
-                    effect_of(row)
-                })
-                .expect("valid workload");
-            assert_eq!(run.txn.committed, 4, "disjoint stripes never conflict");
-            (run.end, run.cpu, run.rows, run.txn)
-        }
-    };
-    let m = sys.finish_measurement(end, cpu, path);
-    RunRecord {
-        end,
-        cpu,
-        rows: rows_done,
-        traces,
-        cache: m.cache,
-        dram: m.dram,
-        rme: m.rme,
-        txn,
-    }
-}
-
-fn runners_for(source: Source) -> Vec<Runner> {
-    // The Txn runner pairs transactions (CPU traffic) with a concurrent
-    // scan of `source`. Over an ephemeral source that is a *mixed*-class
-    // run — and a non-snapshot scan racing the updates may legitimately
-    // observe different row versions once timing shifts — so Txn stays on
-    // CPU sources here; the mixed invariants live in
-    // `mixed_rme_and_cpu_runs_keep_data_and_traffic`.
-    match source {
-        Source::RowsMvcc => vec![Runner::Scan, Runner::Workload(1), Runner::Txn],
-        Source::EphemeralCold | Source::EphemeralHot => vec![
-            Runner::Scan,
-            Runner::Sharded(2),
-            Runner::Sharded(4),
-            Runner::Workload(2),
-        ],
-        _ => vec![
-            Runner::Scan,
-            Runner::Sharded(2),
-            Runner::Sharded(4),
-            Runner::Workload(2),
-            Runner::Txn,
-        ],
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Occupancy model, single-source runs: the event-driven path must be
-    /// *bit-identical* to the synchronous path — completion time, CPU
-    /// time, per-stream traces and every cache/DRAM/RME counter — across
-    /// scan / sharded / workload / txn over Rows, Columnar and Ephemeral
-    /// sources, with and without MVCC. Each run's DRAM traffic comes from
-    /// one admission class, and either class alone is FIFO.
-    #[test]
-    fn event_driven_is_bit_identical_on_single_source_runs(
-        seed in 0u64..1_000,
-        rows in 16u64..ROWS_CAP,
-    ) {
-        for source in ALL_SOURCES {
-            for runner in runners_for(source) {
-                let sync = run_case(runner, source, MemoryModel::Occupancy, false, seed, rows);
-                let evt = run_case(runner, source, MemoryModel::Occupancy, true, seed, rows);
-                prop_assert_eq!(&sync, &evt, "diverged for {:?}/{:?}", runner, source);
-            }
-        }
-    }
-
-    /// Occupancy model, mixed RME + CPU workload (point traffic on core 0,
-    /// ephemeral scans beside it): demand priority legitimately shifts
-    /// timing, but everything data-determined must survive — per-stream
-    /// traces, row counts, engine fetch counts, writes, chunk totals and
-    /// transaction accounting.
-    #[test]
-    fn mixed_rme_and_cpu_runs_keep_data_and_traffic(
-        seed in 0u64..1_000,
-        rows in 64u64..ROWS_CAP,
-        oltp_ops in 8u64..40,
-    ) {
-        let run = |event: bool| {
-            let mut sys = build_system(3, MemoryModel::Occupancy, event);
-            let schema = Schema::benchmark(4, 4, 64);
-            let mut table = sys.create_table(schema, rows, MvccConfig::Disabled).unwrap();
-            DataGen::new(seed).fill_table(sys.mem_mut(), &mut table, rows).unwrap();
-            let var = sys
-                .register_ephemeral(&table, ColumnGroup::new(vec![0]).unwrap(), None)
-                .unwrap();
-            let oltp_columns = [1usize, 2];
-            let oltp: Vec<WorkloadOp> = (0..oltp_ops)
-                .map(|i| {
-                    let row = i.wrapping_mul(2654435761) % rows;
-                    if i % 5 == 4 {
-                        WorkloadOp::PointUpdate { table: &table, row, column: 1, value: i }
-                    } else {
-                        WorkloadOp::PointLookup { table: &table, columns: &oltp_columns, row }
-                    }
-                })
-                .collect();
-            let workload = Workload::new(vec![
-                QueryStream::new(oltp),
-                QueryStream::new(vec![WorkloadOp::olap(ScanSource::Ephemeral { var: &var })]),
-                QueryStream::new(vec![WorkloadOp::olap(ScanSource::Ephemeral { var: &var })]),
-            ]);
-            sys.begin_measurement(AccessPath::RmeCold);
-            let mut traces: Traces = vec![Vec::new(); 3];
-            let run = sys
-                .run_workload(&workload, SimTime::ZERO, |core, _, row, vals| {
-                    traces[core].push((row, vals.to_vec()));
-                    RowEffect::default()
-                })
-                .expect("valid workload");
-            let m = sys.finish_measurement(run.end, run.cpu, AccessPath::RmeCold);
-            RunRecord {
-                end: run.end,
-                cpu: run.cpu,
-                rows: run.rows,
-                traces,
-                cache: m.cache,
-                dram: m.dram,
-                rme: m.rme,
-                txn: run.txn,
-            }
-        };
-        let sync = run(false);
-        let evt = run(true);
-        prop_assert_eq!(sync.data_view(), evt.data_view());
-        prop_assert_eq!(&sync.rme, &evt.rme, "engine counters are data-determined");
-    }
-
-    /// Cycle-accurate model: event mode may reorder commands (FR-FCFS
-    /// write buffering) and emit writeback traffic, so timing and
-    /// command-level counters may shift — but values, row counts and
-    /// traffic totals must match the synchronous cycle-accurate run.
-    #[test]
-    fn cycle_accurate_event_divergence_is_timing_only(
-        seed in 0u64..1_000,
-        rows in 16u64..ROWS_CAP,
-    ) {
-        for source in ALL_SOURCES {
-            let runners = match source {
-                // Same racy-scan exclusion as `runners_for`: a non-snapshot
-                // ephemeral scan racing transactional updates may observe
-                // different row versions once timing shifts.
-                Source::EphemeralCold | Source::EphemeralHot => {
-                    vec![Runner::Scan, Runner::Workload(2)]
-                }
-                Source::RowsMvcc => vec![Runner::Scan, Runner::Txn],
-                _ => vec![Runner::Scan, Runner::Workload(2), Runner::Txn],
-            };
-            for runner in runners {
-                let sync = run_case(runner, source, MemoryModel::CycleAccurate, false, seed, rows);
-                let evt = run_case(runner, source, MemoryModel::CycleAccurate, true, seed, rows);
-                prop_assert_eq!(
-                    &sync.traces, &evt.traces,
-                    "data diverged for {:?}/{:?}", runner, source
-                );
-                prop_assert_eq!(sync.rows, evt.rows);
-                prop_assert_eq!(&sync.txn, &evt.txn);
-                prop_assert_eq!(sync.dram.rme_accesses, evt.dram.rme_accesses);
-                // Event mode adds asynchronous writeback writes on top of
-                // the synchronous path's explicit (commit) writes — the
-                // writeback counter accounts for exactly the difference.
-                prop_assert_eq!(
-                    sync.dram.writes + evt.dram.writebacks,
-                    evt.dram.writes,
-                    "CA event writes = sync writes + writebacks for {:?}/{:?}",
-                    runner,
-                    source
-                );
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Writeback timing: dirty evictions become real DRAM writes only where
-// tWR/tWTR exist to observe them.
-// ---------------------------------------------------------------------------
-
-/// An update-heavy workload sized to overflow the L2, so dirty lines are
-/// evicted while the stream is still running. Returns `(end, DramStats)`.
-fn run_update_heavy(model: MemoryModel, event: bool) -> (SimTime, DramStats) {
+/// A point stream sized to overflow the L2: with `updates`, every second
+/// op is an update, so dirty lines are evicted while the stream is still
+/// running; without, those ops are lookups of the same rows.
+fn run_update_heavy(model: MemoryModel, updates: bool) -> UpdateRun {
     // Touch more distinct lines than the L2 holds, so dirty lines are
     // evicted while the stream is still running.
     let rows: u64 = 40_000;
-    let mut sys = build_system(1, model, event);
+    let mut config = SystemConfig {
+        cores: 1,
+        mem_bytes: 32 << 20,
+        ..SystemConfig::default()
+    };
+    config.platform.dram.model = model;
+    let mut sys = System::with_config(config);
     let schema = Schema::benchmark(4, 4, 64);
     let mut table = sys
         .create_table(schema, rows, MvccConfig::Disabled)
@@ -471,7 +52,7 @@ fn run_update_heavy(model: MemoryModel, event: bool) -> (SimTime, DramStats) {
     let ops: Vec<WorkloadOp> = (0..40_000u64)
         .map(|i| {
             let row = i.wrapping_mul(2654435761) % rows;
-            if i % 2 == 0 {
+            if updates && i % 2 == 0 {
                 WorkloadOp::PointUpdate {
                     table: &table,
                     row,
@@ -489,45 +70,66 @@ fn run_update_heavy(model: MemoryModel, event: bool) -> (SimTime, DramStats) {
         .collect();
     let workload = Workload::new(vec![QueryStream::new(ops)]);
     sys.begin_measurement(AccessPath::DirectRowWise);
+    let mut checksum = 0u64;
     let run = sys
-        .run_workload(&workload, SimTime::ZERO, |_, _, _, _| RowEffect::default())
+        .run_workload(&workload, SimTime::ZERO, |_, _, _, vals| {
+            checksum = vals
+                .iter()
+                .fold(checksum, |a, &v| a.wrapping_mul(31).wrapping_add(v));
+            RowEffect::default()
+        })
         .expect("valid workload");
-    (run.end, sys.dram_stats().clone())
+    UpdateRun {
+        end: run.end,
+        checksum,
+        dram: sys.dram_stats().clone(),
+    }
 }
 
-/// Under the cycle-accurate model in event mode, the dirty-eviction-heavy
-/// update stream must produce real DRAM write traffic (writes and
-/// writebacks both nonzero) and that traffic must cost time: tWR/tWTR
-/// turnaround penalties push the makespan past the synchronous
-/// cycle-accurate run, which never sees the writebacks.
+/// Under the cycle-accurate model, the dirty-eviction-heavy update stream
+/// must produce real DRAM write traffic (writes and writebacks both
+/// nonzero) and that traffic must cost time: tWR/tWTR turnaround penalties
+/// push the makespan past the lookup-only run of the same rows, which
+/// dirties nothing and so never sees a writeback.
 #[test]
 fn ca_event_mode_charges_writeback_traffic() {
-    let (sync_end, sync_stats) = run_update_heavy(MemoryModel::CycleAccurate, false);
-    let (evt_end, evt_stats) = run_update_heavy(MemoryModel::CycleAccurate, true);
+    let clean = run_update_heavy(MemoryModel::CycleAccurate, false);
+    let dirty = run_update_heavy(MemoryModel::CycleAccurate, true);
     assert_eq!(
-        sync_stats.writebacks, 0,
-        "the synchronous path never emits writebacks"
+        clean.dram.writebacks, 0,
+        "a stream that dirties nothing never emits writebacks"
     );
     assert!(
-        evt_stats.writebacks > 0,
-        "dirty evictions must surface as writebacks: {evt_stats:?}"
+        dirty.dram.writebacks > 0,
+        "dirty evictions must surface as writebacks: {:?}",
+        dirty.dram
     );
-    assert_eq!(evt_stats.writes, sync_stats.writes + evt_stats.writebacks);
+    assert_eq!(
+        dirty.dram.writes,
+        clean.dram.writes + dirty.dram.writebacks
+    );
     assert!(
-        evt_end > sync_end,
-        "writeback traffic must cost tWR/tWTR time: sync {sync_end:?}, event {evt_end:?}"
+        dirty.end > clean.end,
+        "writeback traffic must cost tWR/tWTR time: clean {:?}, dirty {:?}",
+        clean.end,
+        dirty.end
     );
+    // The writebacks change timing only: the data read back is the
+    // occupancy model's.
+    let occ = run_update_heavy(MemoryModel::Occupancy, true);
+    assert_eq!(occ.checksum, dirty.checksum, "the timing model changed the data");
 }
 
-/// The same stream under the occupancy model: writebacks stay gated off in
-/// both modes and the runs are bit-identical — the behavioural change is
-/// confined to the cycle-accurate event path.
+/// The same stream under the occupancy model: writebacks stay gated off,
+/// so the update stream is bit-identical in timing and DRAM counters to
+/// the lookup-only run of the same rows — the behavioural change is
+/// confined to the cycle-accurate model.
 #[test]
 fn occupancy_update_stream_is_unchanged_by_event_mode() {
-    let (sync_end, sync_stats) = run_update_heavy(MemoryModel::Occupancy, false);
-    let (evt_end, evt_stats) = run_update_heavy(MemoryModel::Occupancy, true);
-    assert_eq!(sync_stats.writebacks, 0);
-    assert_eq!(evt_stats.writebacks, 0, "occupancy never emits writebacks");
-    assert_eq!(sync_stats, evt_stats);
-    assert_eq!(sync_end, evt_end);
+    let clean = run_update_heavy(MemoryModel::Occupancy, false);
+    let dirty = run_update_heavy(MemoryModel::Occupancy, true);
+    assert_eq!(clean.dram.writebacks, 0);
+    assert_eq!(dirty.dram.writebacks, 0, "occupancy never emits writebacks");
+    assert_eq!(clean.dram, dirty.dram);
+    assert_eq!(clean.end, dirty.end);
 }

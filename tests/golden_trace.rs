@@ -121,7 +121,7 @@ fn render_snapshot(sys: &System, end: SimTime, cpu: SimTime, rows: u64) -> Strin
         put(&mut out, "dram.queue_occupancy_sum", dram.queue_occupancy_sum);
     }
     // Writeback traffic and FR-FCFS reorders occur only on the
-    // cycle-accurate event-driven path; rendering them only when nonzero
+    // cycle-accurate model; rendering them only when nonzero
     // keeps every pre-event-queue fixture byte-identical.
     if dram.writebacks > 0 {
         put(&mut out, "dram.writebacks", dram.writebacks);
@@ -361,7 +361,7 @@ fn golden_workload_htap_2core() {
 
 /// An update-heavy point stream on the cycle-accurate model: the working
 /// set overflows the L2, so dirty lines are evicted mid-stream and the
-/// event-driven completion queue turns those evictions into real DRAM
+/// DRAM completion queue turns those evictions into real DRAM
 /// writes scheduled through the FR-FCFS write buffer. This is the first
 /// fixture where `dram.writebacks` (and, when the buffer reorders,
 /// `dram.fr_fcfs_reorders`) appear.
@@ -375,7 +375,6 @@ fn golden_update_heavy_ca_event() {
     };
     config.platform.dram.model = relmem_sim::MemoryModel::CycleAccurate;
     let mut sys = System::with_config(config);
-    assert!(sys.event_driven(), "event-driven mode is the default");
     let schema = Schema::benchmark(4, 4, 64);
     let mut table = sys
         .create_table(schema, BIG_ROWS, MvccConfig::Disabled)
